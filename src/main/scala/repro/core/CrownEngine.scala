@@ -18,7 +18,10 @@ import scala.collection.mutable
   *     non-output attributes the counted distinct output-projections per key
   *     (Algorithm 5 lines 1–3);
   *   - the live view `V_l(e) = π_{e∩y} Q(D)` with per-child hash indexes
-  *     (§5.2), maintained from the enumerated deltas via Lemma 5.5.
+  *     (§5.2), kept where it is read and maintained via Lemma 5.5 from the
+  *     distinct `e∩y` projections of the delta: delta enumeration records a
+  *     node's projection once per visit that reaches at least one result,
+  *     not once per result.
   *
   * Updates run R-Update / S-Update / P-Update along the leaf-to-root path
   * (Algorithms 2–4). Delta enumeration finds witness tuples (Def 5.6) on the
@@ -67,6 +70,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     var liveKeyIdx: Array[Array[Int]] = _       // per child: yAttrs -> linkAttrs(child)
     var enumKids: Array[Node] = Array.empty     // children whose subtree adds output attrs
     var depth: Int = 0
+    var isLive: Boolean = false                 // keeps V_l (see liveNodes)
 
     // state
     val tuples = mutable.HashMap.empty[T, TupState]
@@ -142,11 +146,21 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     a -> Iterator.iterate(n)(_.parent).takeWhile(_ != null).toArray
   }
 
-  /** Internal non-root output-carrying nodes (live views live here),
-    * top-down order for deletion maintenance.
+  /** Non-root nodes whose live view is read, in top-down order for deletion
+    * maintenance. A view is read only through `liveIdx`, so the node needs an
+    * output-carrying child. It must also be visited by enumeration: each node
+    * on its root path is in its parent's `enumKids`. Below a child `c` that
+    * is not, all output attributes lie in `c`'s parent and hence (running
+    * intersection) in every node between; so a projection that is new (or
+    * dying) there makes every parent projection extending it new (dying) too.
+    * No witness arises in `c`'s subtree and no S-join passes through it.
     */
-  private val liveNodes: Array[Node] =
-    nodes.filter(n => !n.isRoot && !n.isLeaf && n.hasY).sortBy(_.depth).toArray
+  private val liveNodes: Array[Node] = {
+    def visited(n: Node): Boolean = n.isRoot || (n.parent.enumKids.contains(n) && visited(n.parent))
+    nodes.filter(n => !n.isRoot && n.hasY && n.children.exists(_.hasY) && visited(n))
+      .sortBy(_.depth).toArray
+  }
+  liveNodes.foreach(_.isLive = true)
 
   // -------------------------------------------------------------- deltas
 
@@ -228,7 +242,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     }
     e0.tuples(t0) = st
     if (st.count == e0.children.length) enterVs(e0, t0)
-    val n = enumerateDeltas(e0, emit)
+    val n = enumerateDeltas(e0, emit, isInsert = true)
     applyLiveInserts()
     n
   }
@@ -353,7 +367,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     planDelete(e0, t0) match {
       case None => 0L
       case Some(levels) =>
-        val n = enumerateDeltas(e0, emit) // pre-deletion state
+        val n = enumerateDeltas(e0, emit, isInsert = false) // pre-deletion state
         applyDelete(levels, e0, t0)
         applyLiveDeletes()
         n
@@ -367,10 +381,19 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     if (u.isInsert) processInsert(node, u.t, emit) else processDelete(node, u.t, emit)
   }
 
+  /** Resets the per-update buffers. A live buffer is dirty iff it is
+    * non-empty, so only the buffers the last update wrote are cleared
+    * (clearing is O(table capacity), which never shrinks).
+    */
   private def clearBuffers(e0: Node): Unit = {
     var n = e0
     while (n != null) { nodeDeltas(n.id).clear(); n = n.parent }
-    liveNodes.foreach(e => liveBuf(e.id).clear())
+    var i = 0
+    while (i < liveNodes.length) {
+      val b = liveBuf(liveNodes(i).id)
+      if (b.nonEmpty) b.clear()
+      i += 1
+    }
   }
 
   // --------------------------------------------------------- enumeration
@@ -381,6 +404,40 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     var i = 0
     while (i < e.yOut.length) { slots(e.yOut(i)) = proj(i); i += 1 }
   }
+
+  // Live-view candidates of delta enumeration (Lemma 5.5). Each visit of a
+  // live node pushes its projection for the duration of its descent; a
+  // result reaching the emit step commits the not-yet-committed part of the
+  // stack into `liveBuf`. So a visit is recorded once, and only if a result
+  // lies below it. Depth is at most one entry per node.
+  private val visitNode = new Array[Node](nodes.length)
+  private val visitProj = new Array[T](nodes.length)
+  private var visitTop = 0
+  private var committed = 0  // entries below this are already in liveBuf
+  private var recording = false // inside enumerateDeltas, never enumerateFull
+  private var inserting = false
+
+  @inline private def visit(e: Node, proj: T): Unit = {
+    writeProj(e, proj)
+    if (recording && e.isLive) {
+      visitNode(visitTop) = e; visitProj(visitTop) = proj; visitTop += 1
+    }
+  }
+
+  @inline private def leave(e: Node): Unit =
+    if (recording && e.isLive) {
+      visitTop -= 1
+      if (committed > visitTop) committed = visitTop
+    }
+
+  private def commitVisits(): Unit =
+    while (committed < visitTop) {
+      val e = visitNode(committed)
+      val p = visitProj(committed)
+      // On insertion a projection already live needs no buffering.
+      if (!inserting || !e.live.contains(p)) liveBuf(e.id) += p
+      committed += 1
+    }
 
   /** FullEnum (Algorithm 5) descent below node `c` given the join key from
     * its parent. Mixed nodes yield their counted distinct output projections
@@ -397,8 +454,10 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
           val it = m.keysIterator
           while (it.hasNext) {
             val yp = it.next()
-            writeProj(c, yp)
-            if (!descendY(c, yp, -1, cont)) return false
+            visit(c, yp)
+            val go = descendY(c, yp, -1, cont)
+            leave(c)
+            if (!go) return false
           }
           true
       }
@@ -409,8 +468,10 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
           val it = set.iterator
           while (it.hasNext) {
             val tt = it.next() // all-output: the tuple IS its projection
-            writeProj(c, tt)
-            if (!descendY(c, tt, -1, cont)) return false
+            visit(c, tt)
+            val go = descendY(c, tt, -1, cont)
+            leave(c)
+            if (!go) return false
           }
           true
       }
@@ -455,41 +516,38 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     * projection at a non-root node is a witness iff it joins the parent's
     * live view, excluding projections changed by this very update (Def 5.6).
     */
-  private def enumerateDeltas(e0: Node, emit: T => Unit): Long = {
+  private def enumerateDeltas(e0: Node, emit: T => Unit, isInsert: Boolean): Long = {
     val path = pathOf(e0.atom.get.name)
     var count = 0L
     val emitRes = () => {
+      commitVisits() // live views follow the unfiltered join, as at the root
       val res = ArraySeq.unsafeWrapArray(slots.clone()): T
-      if (cq.resultFilter.forall(_(res))) {
-        emit(res); count += 1
-        var li = 0
-        while (li < liveNodes.length) {
-          val e = liveNodes(li)
-          liveBuf(e.id) += Tup.proj(res, e.yOut)
-          li += 1
-        }
-      }
+      if (cq.resultFilter.forall(_(res))) { emit(res); count += 1 }
       true
     }
-    var i = 0
-    while (i < path.length) {
-      val e = path(i)
-      if (e.hasY) {
-        val d = nodeDeltas(e.id)
-        var pi = 0
-        while (pi < d.projs.length) {
-          val p = d.projs(pi)
-          if (e.isRoot) {
-            writeProj(e, p)
-            descendY(e, p, -1, emitRes)
-          } else if (witnessJoinsParentLive(e, p)) {
-            enumWitness(path, i, p, emitRes)
+    visitTop = 0; committed = 0
+    inserting = isInsert; recording = true
+    try {
+      var i = 0
+      while (i < path.length) {
+        val e = path(i)
+        if (e.hasY) {
+          val d = nodeDeltas(e.id)
+          var pi = 0
+          while (pi < d.projs.length) {
+            val p = d.projs(pi)
+            if (e.isRoot) {
+              writeProj(e, p)
+              descendY(e, p, -1, emitRes)
+            } else if (witnessJoinsParentLive(e, p)) {
+              enumWitness(path, i, p, emitRes)
+            }
+            pi += 1
           }
-          pi += 1
         }
+        i += 1
       }
-      i += 1
-    }
+    } finally recording = false
     count
   }
 
@@ -511,7 +569,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
   private def enumWitness(path: Array[Node], i: Int, p: T, emitRes: () => Boolean): Unit = {
     val chosen = new Array[T](path.length)
     chosen(i) = p
-    writeProj(path(i), p)
+    visit(path(i), p)
 
     def parts(j: Int): Boolean = {
       if (j == path.length) emitRes()
@@ -538,8 +596,9 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
               val l = it.next()
               if (!excl.contains(l)) {
                 chosen(j) = l
-                writeProj(e, l)
+                visit(e, l)
                 go = sLevel(j + 1)
+                leave(e)
               }
             }
             go
@@ -548,7 +607,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     }
 
     sLevel(i + 1)
-    ()
+    leave(path(i))
   }
 
   // ------------------------------------------------------------ live views
@@ -582,7 +641,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     * update see the pre-update live views).
     */
   private def applyLiveInserts(): Unit = {
-    for (e <- liveNodes; p <- liveBuf(e.id)) {
+    for (e <- liveNodes if liveBuf(e.id).nonEmpty; p <- liveBuf(e.id)) {
       if (e.live.add(p)) {
         var i = 0
         while (i < e.children.length) {
@@ -600,7 +659,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     * so parents settle first.
     */
   private def applyLiveDeletes(): Unit = {
-    for (e <- liveNodes; p <- liveBuf(e.id)) { // liveNodes is top-down
+    for (e <- liveNodes if liveBuf(e.id).nonEmpty; p <- liveBuf(e.id)) { // top-down
       if (e.live.contains(p)) {
         val surviving = e.projCnt.contains(p) && {
           val link = Tup.proj(p, e.linkUpIdx)

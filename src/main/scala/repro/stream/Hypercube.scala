@@ -19,12 +19,16 @@ import repro.core._
   */
 object Hypercube {
 
-  /** Partition attribute: first root attribute (always output-carrying). */
-  def partitionAttr(tree: JTNode): String = tree.attrs.head
+  /** Partition attribute: the first root attribute that is an output
+    * attribute, so every result carries it and shard outputs are disjoint.
+    */
+  def partitionAttr(cq: CQ, tree: JTNode): String =
+    tree.attrs.find(cq.output.contains).getOrElse(throw new IllegalArgumentException(
+      s"root ${tree.attrs} of the plan carries no output attribute"))
 
   /** Shard a per-atom update sequence. */
   def shard(cq: CQ, tree: JTNode, updates: Seq[Upd], p: Int): IndexedSeq[Vector[Upd]] = {
-    val attr = partitionAttr(tree)
+    val attr = partitionAttr(cq, tree)
     val pos: Map[String, Int] = cq.atoms.map(a => a.name -> a.attrs.indexOf(attr)).toMap
     val buckets = IndexedSeq.fill(p)(Vector.newBuilder[Upd])
     for (u <- updates) {

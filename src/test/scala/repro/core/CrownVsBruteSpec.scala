@@ -116,4 +116,31 @@ class CrownVsBruteSpec extends AnyFunSuite {
       EngineCheck.checkEngine(cq, Map("G" -> Seq("G1", "G2", "G3")),
         () => new CrownEngine(cq, t), seedBase = 19, rounds = 2, len = 40)
   }
+
+  test("every candidate free-connex tree gives identical results (SNB Q4 extended)") {
+    // Most of these trees put the internal node `message` below a child that
+    // enumeration never enters, where it keeps no live view.
+    val cq = Queries.snbQ4Extended(1000).copy(atomFilters = Map("message" ->
+      ((t: repro.core.Tup.T) => t(2) == 0L))) // "is null" stand-in over Long domain
+    val trees = JoinTree.candidates(cq).filter(t => JoinTree.isFreeConnexTree(cq, t))
+    assert(trees.nonEmpty)
+    for (t <- trees)
+      EngineCheck.checkEngine(cq, Map("tag" -> Seq("tag"), "message_tag" -> Seq("message_tag"),
+        "message" -> Seq("message"), "knows" -> Seq("knows")),
+        () => new CrownEngine(cq, t), seedBase = 20, rounds = 2, len = 50)
+  }
+
+  test("a node that enumeration never visits needs no live view") {
+    // π_x(R1(x,u) ⋈ R2(x,z) ⋈ R3(x,w)) on the chain R1(R2(R3)): R2 adds no
+    // output attribute below R1, so enumeration never enters it and it keeps
+    // no live view, although R3's witness checks read its (empty) index.
+    val cq = CQ("chain-x", Vector(Atom("R1", Vector("x", "u")),
+      Atom("R2", Vector("x", "z")), Atom("R3", Vector("x", "w"))), Vector("x"))
+    val tree = JTNode(Vector("x", "u"), Some("R1"), Vector(
+      JTNode(Vector("x", "z"), Some("R2"), Vector(
+        JTNode(Vector("x", "w"), Some("R3"), Vector.empty)))))
+    assert(JoinTree.isFreeConnexTree(cq, tree))
+    EngineCheck.checkEngine(cq, Map("a" -> Seq("R1"), "b" -> Seq("R2"), "c" -> Seq("R3")),
+      () => new CrownEngine(cq, tree), seedBase = 21, nV = 3)
+  }
 }

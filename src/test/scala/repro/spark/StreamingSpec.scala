@@ -58,6 +58,15 @@ class StreamingSpec extends SparkSpec {
     assert(union == serialFull)
   }
 
+  test("HyperCube partitions on the first output attribute of the plan's root") {
+    // Sharding on x1 here would let shards emit the same x2 result.
+    val r1Rooted = JTNode(Vector("x1", "x2"), Some("R1"),
+      Vector(JTNode(Vector("x2", "x3"), Some("R2"), Vector.empty)))
+    assert(Hypercube.partitionAttr(Queries.fig2(Vector("x2")), r1Rooted) == "x2")
+    intercept[IllegalArgumentException](
+      Hypercube.partitionAttr(Queries.fig2(Vector("x3")), r1Rooted))
+  }
+
   test("parallel Spark run (p=3) matches serial delta count") {
     val tree = JoinTree.choose(cq).get
     val base = Updates.fifoWindow("G", edges, w = 300)
