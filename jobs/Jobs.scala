@@ -11,7 +11,7 @@ import repro.exp.Runners._
   */
 object JobSupport {
   def session(app: String): SparkSession =
-    SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+    SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", "64")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -107,14 +107,14 @@ final class Hivm(val cq: CQ,
 
   @inline private def mergeT(attrs: Vector[String], srcAttrs: Vector[String], src: T,
                              srcAttrs2: Vector[String], src2: T): T = {
-    val a = new Array[Any](attrs.length)
+    val a = new Array[AnyRef](attrs.length)
     var i = 0
     while (i < attrs.length) {
       val p = srcAttrs.indexOf(attrs(i))
-      a(i) = if (p >= 0) src(p) else src2(srcAttrs2.indexOf(attrs(i)))
+      a(i) = if (p >= 0) src.ref(p) else src2.ref(srcAttrs2.indexOf(attrs(i)))
       i += 1
     }
-    scala.collection.immutable.ArraySeq.unsafeWrapArray(a)
+    new Tup(a)
   }
 
   /** Propagate a signed delta along one chain starting at level `j`. */
@@ -167,10 +167,10 @@ final class Hivm(val cq: CQ,
 
   @inline private def mergeVA(c: Chain, i: Int, v: T, t: T): T = {
     val fv = c.mergeFromView(i); val fa = c.mergeFromAtom(i)
-    val a = new Array[Any](fv.length)
+    val a = new Array[AnyRef](fv.length)
     var k = 0
-    while (k < fv.length) { a(k) = if (fv(k) >= 0) v(fv(k)) else t(fa(k)); k += 1 }
-    scala.collection.immutable.ArraySeq.unsafeWrapArray(a)
+    while (k < fv.length) { a(k) = if (fv(k) >= 0) v.ref(fv(k)) else t.ref(fa(k)); k += 1 }
+    new Tup(a)
   }
 
   override def processUpdate(u: Upd)(emit: T => Unit): Long = {

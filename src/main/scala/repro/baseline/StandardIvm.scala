@@ -78,13 +78,13 @@ final class StandardIvm(val cq: CQ,
 
   @inline private def merge(i: Int, v: T, t: T): T = {
     val fv = mergeFromView(i); val fa = mergeFromAtom(i)
-    val a = new Array[Any](fv.length)
+    val a = new Array[AnyRef](fv.length)
     var k = 0
     while (k < fv.length) {
-      a(k) = if (fv(k) >= 0) v(fv(k)) else t(fa(k))
+      a(k) = if (fv(k) >= 0) v.ref(fv(k)) else t.ref(fa(k))
       k += 1
     }
-    scala.collection.immutable.ArraySeq.unsafeWrapArray(a)
+    new Tup(a)
   }
 
   /** Apply a batch of (tuple, signed count) to view level i, maintaining the

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.core.Tup.T
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** A commutative ring `(S, ⊕, ⊗)` for §7.3 aggregations. Deletions need
@@ -229,7 +228,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
     */
   def results(): Map[T, A] = {
     val out = mutable.HashMap.empty[T, A]
-    val slots = new Array[Any](y.length)
+    val slots = new Array[AnyRef](y.length)
 
     def factor(e: ANode, t: T): A = {
       var v = e.atom.map(a => baseAnnot(a.name, t)).getOrElse(ring.one)
@@ -245,7 +244,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
 
     def writeY(e: ANode, t: T): Unit = {
       var i = 0
-      while (i < e.yIdx.length) { slots(e.yOut(i)) = t(e.yIdx(i)); i += 1 }
+      while (i < e.yIdx.length) { slots(e.yOut(i)) = t.ref(e.yIdx(i)); i += 1 }
     }
 
     def descend(e: ANode, t: T, acc: A, cont: A => Unit): Unit = {
@@ -265,7 +264,7 @@ final class AnnotatedCrown[A](val cq: CQ, val treeSpec: JTNode,
 
     for ((t, st) <- root.tuples if member(root, st)) {
       descend(root, t, ring.one, { a =>
-        val res = ArraySeq.unsafeWrapArray(slots.clone()): T
+        val res = Tup.fromSlots(slots)
         out(res) = ring.plus(out.getOrElse(res, ring.zero), a)
       })
     }

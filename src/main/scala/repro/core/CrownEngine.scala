@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.core.Tup.T
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** CROWN: change propagation without joins (§4–§5 of the paper).
@@ -12,11 +11,12 @@ import scala.collection.mutable
   *   - its relation tuples with a counter `count[t]` = number of children
   *     `c` with `t[key(c)] ∈ V_p(c)`; `t ∈ V_s(e)` iff the counter is full
   *     (the "horizontal derivation counting" of Algorithm 3);
-  *   - the projection view `V_p(e) = π_key(e) V_s(e)` with derivation counts
-  *     (Algorithm 2);
-  *   - for enumeration: `V_s` grouped by `key(e)`, and for nodes with
-  *     non-output attributes the counted distinct output-projections per key
-  *     (Algorithm 5 lines 1–3);
+  *   - `V_s(e)` grouped by `key(e)` into dense groups (arrays of tuple
+  *     states) that enumeration scans without an iterator. The group keys
+  *     are the projection view `V_p(e) = π_key(e) V_s(e)`, and a group's
+  *     size is its key's derivation count (Algorithm 2);
+  *   - for enumeration at nodes with non-output attributes, the counted
+  *     distinct output-projections per key (Algorithm 5 lines 1–3);
   *   - the live view `V_l(e) = π_{e∩y} Q(D)` with per-child hash indexes
   *     (§5.2), kept where it is read and maintained via Lemma 5.5 from the
   *     distinct `e∩y` projections of the delta: delta enumeration records a
@@ -43,7 +43,30 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   // ---------------------------------------------------------------- nodes
 
-  private final class TupState(var count: Int)
+  /** A tuple of a node's relation, its counter, and its slot in its
+    * `V_s` group while it is in `V_s` (else -1).
+    */
+  private final class TupState(val t: T, var count: Int) {
+    var pos: Int = -1
+  }
+
+  /** The `V_s` tuples of one node under one key, packed densely: adding and
+    * removing are O(1) (removal moves the last state into the gap).
+    */
+  private final class Group {
+    var items = new Array[TupState](2)
+    var size = 0
+    def add(s: TupState): Unit = {
+      if (size == items.length) items = java.util.Arrays.copyOf(items, 2 * size)
+      s.pos = size; items(size) = s; size += 1
+    }
+    def remove(s: TupState): Unit = {
+      size -= 1
+      val last = items(size)
+      items(s.pos) = last; last.pos = s.pos
+      items(size) = null; s.pos = -1
+    }
+  }
 
   private final class Node(val id: Int, val attrs: Vector[String],
                            val atom: Option[Atom]) {
@@ -75,8 +98,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     // state
     val tuples = mutable.HashMap.empty[T, TupState]
     var childIdx: Array[mutable.HashMap[T, mutable.HashSet[T]]] = _ // input nodes
-    val vp = mutable.HashMap.empty[T, Int]                          // non-root
-    val vsByKey = mutable.HashMap.empty[T, mutable.HashSet[T]]      // non-root
+    val vsByKey = mutable.HashMap.empty[T, Group]                   // non-root; keys = V_p
     val projCnt = mutable.HashMap.empty[T, Int]                     // hasY
     val projByKey = mutable.HashMap.empty[T, mutable.HashMap[T, Int]] // mixed, non-root, hasY
     val live = mutable.HashSet.empty[T]                             // internal, non-root, hasY
@@ -165,10 +187,9 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
   // -------------------------------------------------------------- deltas
 
   private final class NodeDelta {
-    val vsTuples = mutable.ArrayBuffer.empty[T]
     val projs = mutable.ArrayBuffer.empty[T]
     val projSet = mutable.HashSet.empty[T]
-    def clear(): Unit = { vsTuples.clear(); projs.clear(); projSet.clear() }
+    def clear(): Unit = { projs.clear(); projSet.clear() }
   }
   private val nodeDeltas: Array[NodeDelta] = Array.fill(nodes.length)(new NodeDelta)
   private val liveBuf: Array[mutable.HashSet[T]] =
@@ -179,10 +200,10 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   // --------------------------------------------------------- propagation
 
-  /** Insert-side S-Update/P-Update cascade: `tt` just entered `V_s(e)`. */
-  private def enterVs(e: Node, tt: T): Unit = {
+  /** Insert-side S-Update/P-Update cascade: `st` just entered `V_s(e)`. */
+  private def enterVs(e: Node, st: TupState): Unit = {
+    val tt = st.t
     val d = nodeDeltas(e.id)
-    d.vsTuples += tt
     ops += 1
     if (e.hasY) {
       val yp = Tup.proj(tt, e.yIdx)
@@ -200,19 +221,19 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     }
     if (!e.isRoot) {
       val k = Tup.proj(tt, e.keyIdx)
-      e.vsByKey.getOrElseUpdate(k, mutable.HashSet.empty) += tt
-      val old = e.vp.getOrElse(k, 0)
-      e.vp(k) = old + 1
-      if (old == 0) pUpdateInsert(e.parent, e, k)
+      var g = e.vsByKey.getOrElse(k, null)
+      if (g == null) { g = new Group; e.vsByKey(k) = g }
+      g.add(st)
+      if (g.size == 1) pUpdateInsert(e.parent, e, k)
     }
   }
 
   /** Insert-side P-Update (Algorithm 3): key `k` entered `V_p(child)`. */
   private def pUpdateInsert(p: Node, child: Node, k: T): Unit = {
     if (p.isGen) {
-      val st = p.tuples.getOrElseUpdate(k, new TupState(0))
+      val st = p.tuples.getOrElseUpdate(k, new TupState(k, 0))
       st.count += 1; ops += 1
-      if (st.count == p.children.length) enterVs(p, k)
+      if (st.count == p.children.length) enterVs(p, st)
     } else {
       p.childIdx(child.childPos).get(k) match {
         case None => ()
@@ -220,7 +241,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
           for (tt <- set) {
             val st = p.tuples(tt)
             st.count += 1; ops += 1
-            if (st.count == p.children.length) enterVs(p, tt)
+            if (st.count == p.children.length) enterVs(p, st)
           }
       }
     }
@@ -230,30 +251,46 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     if (e0.tuples.contains(t0)) return 0L // ineffective under set semantics
     clearBuffers(e0)
     // R-Update (Algorithm 4)
-    val st = new TupState(0)
+    val st = new TupState(t0, 0)
     var i = 0
     while (i < e0.children.length) {
       val c = e0.children(i)
       val k = Tup.proj(t0, e0.childKeyIdx(i))
       e0.childIdx(i).getOrElseUpdate(k, mutable.HashSet.empty) += t0
-      if (c.vp.contains(k)) st.count += 1
+      if (c.vsByKey.contains(k)) st.count += 1
       ops += 1
       i += 1
     }
     e0.tuples(t0) = st
-    if (st.count == e0.children.length) enterVs(e0, t0)
+    if (st.count == e0.children.length) enterVs(e0, st)
     val n = enumerateDeltas(e0, emit, isInsert = true)
     applyLiveInserts()
     n
   }
 
-  /** One level of the deletion cascade: tuples leaving `V_s(node)` and the
-    * `V_p` keys whose derivation count drops to zero.
+  /** One level of the deletion cascade: the states of the tuples leaving
+    * `V_s(node)` and the `V_p` keys whose derivation count drops to zero.
     */
   private final class DelLevel(val node: Node) {
-    val leaving = mutable.ArrayBuffer.empty[T]
+    val leaving = mutable.ArrayBuffer.empty[TupState]
     val removedKeys = mutable.ArrayBuffer.empty[T]
   }
+
+  /** Calls `f(p, n)` once per distinct projection `p` through `idx` of the
+    * leaving tuples, `n` being how many of them project to `p`. A single
+    * leaving tuple, the common case, needs no map.
+    */
+  private def forEachProj(leaving: mutable.ArrayBuffer[TupState], idx: Array[Int])
+                         (f: (T, Int) => Unit): Unit =
+    if (leaving.length == 1) f(Tup.proj(leaving(0).t, idx), 1)
+    else {
+      val counts = mutable.HashMap.empty[T, Int]
+      for (st <- leaving) {
+        val p = Tup.proj(st.t, idx)
+        counts(p) = counts.getOrElse(p, 0) + 1
+      }
+      counts.foreachEntry(f)
+    }
 
   /** Dry-run deletion propagation: computes per-node view deltas (recorded
     * into `nodeDeltas` for witness detection) without mutating any view.
@@ -264,30 +301,33 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     if (st0 == null) return None
     val levels = mutable.ArrayBuffer.empty[DelLevel]
     var lv = new DelLevel(e0)
-    if (st0.count == e0.children.length) lv.leaving += t0
+    if (st0.count == e0.children.length) lv.leaving += st0
     var continue = lv.leaving.nonEmpty
     while (continue) {
       val e = lv.node
       levels += lv
       val d = nodeDeltas(e.id)
-      lv.leaving.foreach(d.vsTuples += _)
-      if (e.hasY) {
-        for ((yp, g) <- lv.leaving.groupBy(tt => Tup.proj(tt, e.yIdx)))
-          if (e.projCnt(yp) == g.size) { d.projs += yp; d.projSet += yp }
-      }
+      if (e.hasY)
+        forEachProj(lv.leaving, e.yIdx) { (yp, n) =>
+          if (e.projCnt(yp) == n) { d.projs += yp; d.projSet += yp }
+        }
       if (e.isRoot) continue = false
       else {
-        for ((k, g) <- lv.leaving.groupBy(tt => Tup.proj(tt, e.keyIdx)))
-          if (e.vp(k) == g.size) lv.removedKeys += k
+        val removed = lv.removedKeys
+        forEachProj(lv.leaving, e.keyIdx) { (k, n) =>
+          if (e.vsByKey(k).size == n) removed += k
+        }
         val p = e.parent
         val next = new DelLevel(p)
-        for (k <- lv.removedKeys) {
+        for (k <- removed) {
           if (p.isGen) {
             val pst = p.tuples(k)
-            if (pst.count == p.children.length) next.leaving += k
+            if (pst.count == p.children.length) next.leaving += pst
           } else {
-            for (set <- p.childIdx(e.childPos).get(k); tt <- set)
-              if (p.tuples(tt).count == p.children.length) next.leaving += tt
+            for (set <- p.childIdx(e.childPos).get(k); tt <- set) {
+              val pst = p.tuples(tt)
+              if (pst.count == p.children.length) next.leaving += pst
+            }
           }
         }
         if (next.leaving.isEmpty) continue = false
@@ -316,17 +356,17 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     for (lv <- levels) {
       val e = lv.node
       if (e.hasY) {
-        for ((yp, g) <- lv.leaving.groupBy(tt => Tup.proj(tt, e.yIdx))) {
+        forEachProj(lv.leaving, e.yIdx) { (yp, n) =>
           val pc = e.projCnt(yp)
-          if (pc == g.size) {
+          if (pc == n) {
             e.projCnt.remove(yp)
             if (e.isRoot) rootLiveRemove(yp)
-          } else e.projCnt(yp) = pc - g.size
+          } else e.projCnt(yp) = pc - n
         }
         if (e.mixed && !e.isRoot) {
-          for (tt <- lv.leaving) {
-            val k = Tup.proj(tt, e.keyIdx)
-            val yp = Tup.proj(tt, e.yIdx)
+          for (st <- lv.leaving) {
+            val k = Tup.proj(st.t, e.keyIdx)
+            val yp = Tup.proj(st.t, e.yIdx)
             val m = e.projByKey(k)
             val c = m(yp)
             if (c == 1) { m.remove(yp); if (m.isEmpty) e.projByKey.remove(k) }
@@ -335,16 +375,11 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
         }
       }
       if (!e.isRoot) {
-        for (tt <- lv.leaving) {
-          val k = Tup.proj(tt, e.keyIdx)
-          e.vsByKey.get(k).foreach { set =>
-            set -= tt
-            if (set.isEmpty) e.vsByKey.remove(k)
-          }
-        }
-        for ((k, g) <- lv.leaving.groupBy(tt => Tup.proj(tt, e.keyIdx))) {
-          val c = e.vp(k)
-          if (c == g.size) e.vp.remove(k) else e.vp(k) = c - g.size
+        for (st <- lv.leaving) {
+          val k = Tup.proj(st.t, e.keyIdx)
+          val g = e.vsByKey(k)
+          g.remove(st)
+          if (g.size == 0) e.vsByKey.remove(k)
         }
         val p = e.parent
         for (k <- lv.removedKeys) {
@@ -398,11 +433,11 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
 
   // --------------------------------------------------------- enumeration
 
-  private val slots = new Array[Any](y.length)
+  private val slots = new Array[AnyRef](y.length)
 
   @inline private def writeProj(e: Node, proj: T): Unit = {
     var i = 0
-    while (i < e.yOut.length) { slots(e.yOut(i)) = proj(i); i += 1 }
+    while (i < e.yOut.length) { slots(e.yOut(i)) = proj.ref(i); i += 1 }
   }
 
   // Live-view candidates of delta enumeration (Lemma 5.5). Each visit of a
@@ -448,34 +483,33 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     */
   private def enumFromKey(c: Node, key: T, cont: () => Boolean): Boolean = {
     if (c.mixed) {
-      c.projByKey.get(key) match {
-        case None => true
-        case Some(m) =>
-          val it = m.keysIterator
-          while (it.hasNext) {
-            val yp = it.next()
-            visit(c, yp)
-            val go = descendY(c, yp, -1, cont)
-            leave(c)
-            if (!go) return false
-          }
-          true
+      val m = c.projByKey.getOrElse(key, null)
+      if (m != null) {
+        val it = m.keysIterator
+        while (it.hasNext) {
+          val yp = it.next()
+          visit(c, yp)
+          val go = descendY(c, yp, -1, cont)
+          leave(c)
+          if (!go) return false
+        }
       }
     } else {
-      c.vsByKey.get(key) match {
-        case None => true
-        case Some(set) =>
-          val it = set.iterator
-          while (it.hasNext) {
-            val tt = it.next() // all-output: the tuple IS its projection
-            visit(c, tt)
-            val go = descendY(c, tt, -1, cont)
-            leave(c)
-            if (!go) return false
-          }
-          true
+      val g = c.vsByKey.getOrElse(key, null)
+      if (g != null) {
+        val items = g.items
+        var i = 0
+        while (i < g.size) {
+          val tt = items(i).t // all-output: the tuple IS its projection
+          visit(c, tt)
+          val go = descendY(c, tt, -1, cont)
+          leave(c)
+          if (!go) return false
+          i += 1
+        }
       }
     }
+    true
   }
 
   /** Nested-loop descent into `e`'s enumeration children from an output
@@ -497,7 +531,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
   override def enumerateFull(cb: T => Boolean): Unit = {
     var go = true
     val emitRes = () => {
-      val res = ArraySeq.unsafeWrapArray(slots.clone()): T
+      val res = Tup.fromSlots(slots)
       if (cq.resultFilter.forall(_(res))) go = cb(res)
       go
     }
@@ -521,7 +555,7 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
     var count = 0L
     val emitRes = () => {
       commitVisits() // live views follow the unfiltered join, as at the root
-      val res = ArraySeq.unsafeWrapArray(slots.clone()): T
+      val res = Tup.fromSlots(slots)
       if (cq.resultFilter.forall(_(res))) { emit(res); count += 1 }
       true
     }
@@ -688,7 +722,8 @@ final class CrownEngine(val cq: CQ, val treeSpec: JTNode) extends IncrementalEng
   override def spaceEntries: Long = {
     var s = 0L
     for (n <- nodes) {
-      s += n.tuples.size + n.vp.size + n.projCnt.size + n.live.size
+      // V_p's entries are vsByKey's keys, as V_s's are its group members
+      s += n.tuples.size + n.vsByKey.size + n.projCnt.size + n.live.size
       s += n.vsByKey.valuesIterator.map(_.size.toLong).sum
       if (n.childIdx != null) s += n.childIdx.iterator.map(_.valuesIterator.map(_.size.toLong).sum).sum
       s += n.projByKey.valuesIterator.map(_.size.toLong).sum

@@ -42,8 +42,8 @@ object Hypergraph {
     val vars = cq.allVars
     def atomsOf(x: String): Set[String] =
       cq.atoms.filter(_.attrs.contains(x)).map(_.name).toSet
-    val pairsOk = vars.combinations(2).forall { case Seq(x1, x2) =>
-      val (a1, a2) = (atomsOf(x1), atomsOf(x2))
+    val pairsOk = vars.combinations(2).forall { pair =>
+      val (a1, a2) = (atomsOf(pair(0)), atomsOf(pair(1)))
       a1.subsetOf(a2) || a2.subsetOf(a1) || (a1 & a2).isEmpty
     }
     val outOk = vars.forall { x1 =>

@@ -52,7 +52,7 @@ object EngineCheck {
           engine.processUpdate(au) { r => got += r; emitted += 1 }
         withClue(s"${cq.name}/${engine.name} round=$round step=$step ins=$doInsert t=$t: ") {
           assert(got == expected,
-            s"delta mismatch: extra=${got -- expected} missing=${expected -- got}")
+            s"delta mismatch: extra=${got.toSet -- expected} missing=${expected -- got}")
           assert(emitted == got.size, "duplicate delta emissions")
         }
         if (step % fullEvery == 0 || step == len - 1) {

@@ -61,6 +61,31 @@ class EngineEdgeCasesSpec extends AnyFunSuite {
     assert(seen == 5)
   }
 
+  test("deleting from a V_s group of 6 in the order middle, first, last, rest") {
+    val cq = Queries.star3(1000)
+    val e = mk(cq)
+    val emptySpace = e.spaceEntries
+    val db = mutable.Map(cq.atoms.map(a => a.name -> mutable.Set.empty[T]): _*)
+    def check(step: String): Unit = withClue(s"$step: ") {
+      assert(e.fullSet == BruteForce.eval(cq, db.view.mapValues(_.toSet).toMap))
+    }
+    val rels = Seq("G1", "G2", "G3")
+    val star = (1L to 6L).map(i => Tup(0L, i)) // six tuples under the key x0 = 0
+    for (t <- star; a <- rels) {
+      e.processUpdate(Upd(a, t, isInsert = true))(_ => ())
+      db(a) += t
+    }
+    check("loaded")
+    assert(e.fullSet.size == 6 * 6 * 6)
+    val order = Seq(star(2), star(0), star(5)) ++ Seq(star(1), star(3), star(4))
+    for (a <- rels; t <- order) {
+      e.processUpdate(Upd(a, t, isInsert = false))(_ => ())
+      db(a) -= t
+      check(s"after deleting $a$t")
+    }
+    assert(e.spaceEntries == emptySpace)
+  }
+
   test("unknown relation raises") {
     val e = mk(fig2full)
     intercept[IllegalArgumentException] {
